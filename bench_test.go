@@ -301,6 +301,46 @@ func BenchmarkCoreTimeTravelRead(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreAsOfAfterVacuum times a historical read of a version the
+// vacuum cleaner has moved to the archive, over archives of growing
+// size: the archive index keeps the cost flat in the number of files
+// vacuumed. The pool holds every page, so buffer misses do not grow with
+// the file count either.
+func BenchmarkCoreAsOfAfterVacuum(b *testing.B) {
+	for _, files := range []int{50, 200, 800} {
+		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+			db, err := inversion.OpenMemory(inversion.Options{Buffers: 8192})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := db.NewSession("bench")
+			for i := 0; i < files; i++ {
+				if err := s.WriteFile(fmt.Sprintf("/a%d", i), []byte(fmt.Sprintf("old %d", i)), inversion.CreateOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			asof := db.Manager().LastCommitTime()
+			for i := 0; i < files; i++ {
+				if err := s.WriteFile(fmt.Sprintf("/a%d", i), []byte(fmt.Sprintf("new %d", i)), inversion.CreateOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := db.Vacuum(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := i % files
+				got, err := s.ReadFileAsOf(fmt.Sprintf("/a%d", f), asof)
+				if err != nil || string(got) != fmt.Sprintf("old %d", f) {
+					b.Fatalf("asof read /a%d: %q %v", f, got, err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCoreCompressedWrite(b *testing.B) {
 	_, s := newBenchDB(b)
 	data := make([]byte, 64<<10)

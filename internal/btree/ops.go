@@ -1,122 +1,47 @@
 package btree
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
 
-// nodeMem is an in-memory image of one node. Tree operations read a
-// node image, work on it, and write it back, never holding a frame
-// latch across buffer pool calls; the per-tree mutex serialises
-// everything, so images cannot go stale mid-operation.
-type nodeMem struct {
-	kind byte
-	link uint32 // leaf: right sibling; internal: leftmost child
-	leaf []Entry
-	ints []intChild
+	"repro/internal/buffer"
+	"repro/internal/page"
+)
+
+// Tree operations work on node pages in place: a descent binary-searches
+// each internal node's layout under a read latch, and a leaf edit shifts
+// the entries after the edit point with one copy under the write latch.
+// No node is decoded into slices on the hot paths; only splits build a
+// scratch image, and only CheckInvariants decodes whole nodes.
+
+// cmpAt compares the entry stored at byte offset off of a node page with
+// e, in (K1, K2, Val) order: -1, 0 or +1.
+func cmpAt(d []byte, off int, e Entry) int {
+	if k := binary.LittleEndian.Uint64(d[off:]); k != e.Key.K1 {
+		return cmpU64(k, e.Key.K1)
+	}
+	if k := binary.LittleEndian.Uint64(d[off+8:]); k != e.Key.K2 {
+		return cmpU64(k, e.Key.K2)
+	}
+	return cmpU64(binary.LittleEndian.Uint64(d[off+16:]), e.Val)
 }
 
-type intChild struct {
-	e     Entry
-	child uint32
+func cmpU64(a, b uint64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
-func (t *Tree) readNode(pn uint32) (nodeMem, error) {
-	f, err := t.pool.Get(t.rel, pn)
-	if err != nil {
-		return nodeMem{}, err
-	}
-	f.RLock()
-	d := f.Data
-	n := nodeMem{kind: nodeKind(d), link: nodeLink(d)}
-	cnt := nodeCount(d)
-	switch n.kind {
-	case kindLeaf:
-		n.leaf = make([]Entry, cnt)
-		for i := 0; i < cnt; i++ {
-			n.leaf[i] = leafEntry(d, i)
-		}
-	case kindInternal:
-		n.ints = make([]intChild, cnt)
-		for i := 0; i < cnt; i++ {
-			e, c := intEntry(d, i)
-			n.ints[i] = intChild{e, c}
-		}
-	default:
-		f.RUnlock()
-		t.pool.Release(f, false)
-		return nodeMem{}, fmt.Errorf("btree: page %d has bad node kind %d", pn, n.kind)
-	}
-	f.RUnlock()
-	t.pool.Release(f, false)
-	return n, nil
-}
-
-func (t *Tree) writeNode(pn uint32, n nodeMem) error {
-	f, err := t.pool.Get(t.rel, pn)
-	if err != nil {
-		return err
-	}
-	f.Lock()
-	d := f.Data
-	for i := range d {
-		d[i] = 0
-	}
-	d[0] = n.kind
-	setNodeLink(d, n.link)
-	switch n.kind {
-	case kindLeaf:
-		setNodeCount(d, len(n.leaf))
-		for i, e := range n.leaf {
-			putLeafEntry(d, i, e)
-		}
-	case kindInternal:
-		setNodeCount(d, len(n.ints))
-		for i, ic := range n.ints {
-			putIntEntry(d, i, ic.e, ic.child)
-		}
-	}
-	f.Unlock()
-	t.pool.Release(f, true)
-	return nil
-}
-
-func (t *Tree) newNode(n nodeMem) (uint32, error) {
-	f, pn, err := t.pool.NewPage(t.rel)
-	if err != nil {
-		return 0, err
-	}
-	t.pool.Release(f, true)
-	return pn, t.writeNode(pn, n)
-}
-
-// childIdx picks the descent child index for e: -1 means the leftmost
-// child, otherwise ints[i].child.
-func (n *nodeMem) childIdx(e Entry) int {
-	lo, hi := 0, len(n.ints)
+// leafSearch returns the first index of a leaf page whose entry is ≥ e.
+func leafSearch(d []byte, e Entry) int {
+	lo, hi := 0, nodeCount(d)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		k := n.ints[mid].e
-		if k.Less(e) || k == e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-func (n *nodeMem) childPage(e Entry) uint32 {
-	i := n.childIdx(e)
-	if i < 0 {
-		return n.link
-	}
-	return n.ints[i].child
-}
-
-// leafPos finds the first index in a leaf image ≥ e.
-func leafPos(leaf []Entry, e Entry) int {
-	lo, hi := 0, len(leaf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if leaf[mid].Less(e) {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpAt(d, nodeHeader+mid*leafEntrySize, e) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -125,103 +50,221 @@ func leafPos(leaf []Entry, e Entry) int {
 	return lo
 }
 
+// childSearch picks the descent child of an internal page for e: the
+// last separator ≤ e, or -1 for the leftmost child.
+func childSearch(d []byte, e Entry) int {
+	lo, hi := 0, nodeCount(d)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpAt(d, nodeHeader+mid*intEntrySize, e) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// childAt returns the page of child i of an internal page (-1 is the
+// leftmost child).
+func childAt(d []byte, i int) uint32 {
+	if i < 0 {
+		return nodeLink(d)
+	}
+	return binary.LittleEndian.Uint32(d[nodeHeader+i*intEntrySize+24:])
+}
+
+// openGap shifts entries [pos, n) of a node one slot right, making room
+// for a new entry at pos.
+func openGap(d []byte, size, n, pos int) {
+	off := nodeHeader + pos*size
+	copy(d[off+size:nodeHeader+(n+1)*size], d[off:nodeHeader+n*size])
+}
+
+// leafFor descends from the root to the leaf that holds (or would hold)
+// e and returns it pinned but unlatched. path, when non-nil, collects
+// the internal pages visited (root first) for split propagation.
+func (t *Tree) leafFor(e Entry, path []uint32) (*buffer.Frame, []uint32, error) {
+	pn, err := t.rootPage()
+	if err != nil {
+		return nil, path, err
+	}
+	for {
+		f, err := t.pool.Get(t.rel, pn)
+		if err != nil {
+			return nil, path, err
+		}
+		f.RLock()
+		d := f.Data
+		kind := nodeKind(d)
+		var next uint32
+		if kind == kindInternal {
+			next = childAt(d, childSearch(d, e))
+		}
+		f.RUnlock()
+		switch kind {
+		case kindLeaf:
+			return f, path, nil
+		case kindInternal:
+			t.pool.Release(f, false)
+			if path != nil {
+				path = append(path, pn)
+			}
+			pn = next
+		default:
+			t.pool.Release(f, false)
+			return nil, path, fmt.Errorf("btree: page %d has bad node kind %d", pn, kind)
+		}
+	}
+}
+
 // Insert adds entry e. It reports whether the entry was added (false if
 // the exact entry already existed, making Insert idempotent).
 func (t *Tree) Insert(e Entry) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	root, err := t.rootPage()
+	var pathBuf [8]uint32
+	f, path, err := t.leafFor(e, pathBuf[:0])
 	if err != nil {
 		return false, err
 	}
-	// Descend, recording the path of page numbers.
-	var path []uint32
-	pn := root
-	for {
-		n, err := t.readNode(pn)
-		if err != nil {
-			return false, err
-		}
-		path = append(path, pn)
-		if n.kind == kindLeaf {
-			break
-		}
-		pn = n.childPage(e)
-	}
-	leafPN := path[len(path)-1]
-	n, err := t.readNode(leafPN)
-	if err != nil {
-		return false, err
-	}
-	pos := leafPos(n.leaf, e)
-	if pos < len(n.leaf) && n.leaf[pos] == e {
+	leafPN := f.Key.Page
+	f.Lock()
+	d := f.Data
+	n := nodeCount(d)
+	pos := leafSearch(d, e)
+	if pos < n && cmpAt(d, nodeHeader+pos*leafEntrySize, e) == 0 {
+		f.Unlock()
+		t.pool.Release(f, false)
 		return false, nil
 	}
-	n.leaf = append(n.leaf, Entry{})
-	copy(n.leaf[pos+1:], n.leaf[pos:])
-	n.leaf[pos] = e
-
-	if len(n.leaf) <= maxLeafEntries {
-		return true, t.writeNode(leafPN, n)
+	if n < maxLeafEntries {
+		openGap(d, leafEntrySize, n, pos)
+		putLeafEntry(d, pos, e)
+		setNodeCount(d, n+1)
+		f.Unlock()
+		t.pool.Release(f, true)
+		return true, nil
 	}
+	f.Unlock()
 
-	// Split the leaf: upper half moves to a new right sibling.
-	mid := len(n.leaf) / 2
-	right := nodeMem{kind: kindLeaf, link: n.link, leaf: append([]Entry(nil), n.leaf[mid:]...)}
-	sep := right.leaf[0]
-	rightPN, err := t.newNode(right)
+	// Split the leaf: the upper half of the n+1 entries moves to a new
+	// right sibling.
+	rf, rightPN, err := t.pool.NewPage(t.rel)
 	if err != nil {
+		t.pool.Release(f, false)
 		return false, err
 	}
-	n.leaf = n.leaf[:mid]
-	n.link = rightPN
-	if err := t.writeNode(leafPN, n); err != nil {
-		return false, err
-	}
+	f.Lock()
+	rf.Lock()
+	var tmp [page.Size + leafEntrySize]byte
+	spill(tmp[:], d, leafEntrySize, n, pos)
+	putLeafEntry(tmp[:], pos, e)
+	mid := (n + 1) / 2
+	r := rf.Data
+	r[0] = kindLeaf
+	setNodeLink(r, nodeLink(d))
+	moveHalves(d, r, tmp[:], leafEntrySize, n+1, mid, mid)
+	setNodeLink(d, rightPN)
+	sep := leafEntry(r, 0)
+	rf.Unlock()
+	f.Unlock()
+	t.pool.Release(rf, true)
+	t.pool.Release(f, true)
 
 	// Propagate the separator up the path.
 	childPN := rightPN
-	for lvl := len(path) - 2; lvl >= 0; lvl-- {
-		ipn := path[lvl]
-		in, err := t.readNode(ipn)
-		if err != nil {
-			return false, err
+	for lvl := len(path) - 1; lvl >= 0; lvl-- {
+		grown, err := t.insertSeparator(path[lvl], &sep, &childPN)
+		if err != nil || !grown {
+			return true, err
 		}
-		ipos := in.childIdx(sep) + 1
-		in.ints = append(in.ints, intChild{})
-		copy(in.ints[ipos+1:], in.ints[ipos:])
-		in.ints[ipos] = intChild{sep, childPN}
-		if len(in.ints) <= maxIntEntries {
-			return true, t.writeNode(ipn, in)
-		}
-		// Split the internal node; the middle entry is promoted.
-		imid := len(in.ints) / 2
-		promoted := in.ints[imid]
-		iright := nodeMem{
-			kind: kindInternal,
-			link: promoted.child,
-			ints: append([]intChild(nil), in.ints[imid+1:]...),
-		}
-		irightPN, err := t.newNode(iright)
-		if err != nil {
-			return false, err
-		}
-		in.ints = in.ints[:imid]
-		if err := t.writeNode(ipn, in); err != nil {
-			return false, err
-		}
-		sep = promoted.e
-		childPN = irightPN
 	}
 
 	// The root itself split: grow the tree by one level.
-	newRoot := nodeMem{kind: kindInternal, link: root, ints: []intChild{{sep, childPN}}}
-	rootPN, err := t.newNode(newRoot)
+	root := leafPN
+	if len(path) > 0 {
+		root = path[0]
+	}
+	nf, rootPN, err := t.pool.NewPage(t.rel)
+	if err != nil {
+		return true, err
+	}
+	nf.Lock()
+	nd := nf.Data
+	nd[0] = kindInternal
+	setNodeLink(nd, root)
+	putIntEntry(nd, 0, sep, childPN)
+	setNodeCount(nd, 1)
+	nf.Unlock()
+	t.pool.Release(nf, true)
+	return true, t.setRoot(rootPN)
+}
+
+// insertSeparator adds (sep, child) to internal page pn. When the page
+// is full it splits, the middle entry is promoted, sep and child are
+// replaced by the promoted separator and the new right page, and grown
+// reports that the caller must insert them one level up.
+func (t *Tree) insertSeparator(pn uint32, sep *Entry, child *uint32) (grown bool, err error) {
+	f, err := t.pool.Get(t.rel, pn)
 	if err != nil {
 		return false, err
 	}
-	return true, t.setRoot(rootPN)
+	f.Lock()
+	d := f.Data
+	n := nodeCount(d)
+	pos := childSearch(d, *sep) + 1
+	if n < maxIntEntries {
+		openGap(d, intEntrySize, n, pos)
+		putIntEntry(d, pos, *sep, *child)
+		setNodeCount(d, n+1)
+		f.Unlock()
+		t.pool.Release(f, true)
+		return false, nil
+	}
+	f.Unlock()
+	rf, rightPN, err := t.pool.NewPage(t.rel)
+	if err != nil {
+		t.pool.Release(f, false)
+		return false, err
+	}
+	f.Lock()
+	rf.Lock()
+	var tmp [page.Size + leafEntrySize]byte
+	spill(tmp[:], d, intEntrySize, n, pos)
+	putIntEntry(tmp[:], pos, *sep, *child)
+	imid := (n + 1) / 2
+	promoted, promotedChild := intEntry(tmp[:], imid)
+	r := rf.Data
+	r[0] = kindInternal
+	setNodeLink(r, promotedChild)
+	moveHalves(d, r, tmp[:], intEntrySize, n+1, imid, imid+1)
+	rf.Unlock()
+	f.Unlock()
+	t.pool.Release(rf, true)
+	t.pool.Release(f, true)
+	*sep, *child = promoted, rightPN
+	return true, nil
+}
+
+// spill copies the n entries of a full node into tmp with a gap at pos
+// for the entry being inserted.
+func spill(tmp, d []byte, size, n, pos int) {
+	cut := nodeHeader + pos*size
+	copy(tmp[nodeHeader:cut], d[nodeHeader:cut])
+	copy(tmp[cut+size:nodeHeader+(n+1)*size], d[cut:nodeHeader+n*size])
+}
+
+// moveHalves distributes the total entries staged in tmp: [0, keep) stay
+// on the left page d, [from, total) go to the empty right page r. The
+// left page's vacated tail is zeroed.
+func moveHalves(d, r, tmp []byte, size, total, keep, from int) {
+	copy(d[nodeHeader:], tmp[nodeHeader:nodeHeader+keep*size])
+	clear(d[nodeHeader+keep*size:])
+	setNodeCount(d, keep)
+	copy(r[nodeHeader:], tmp[nodeHeader+from*size:nodeHeader+total*size])
+	setNodeCount(r, total-from)
 }
 
 // Delete removes the exact entry e. Underfull nodes are left in place
@@ -231,27 +274,33 @@ func (t *Tree) Delete(e Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	pn, err := t.rootPage()
+	f, _, err := t.leafFor(e, nil)
 	if err != nil {
 		return err
 	}
-	for {
-		n, err := t.readNode(pn)
-		if err != nil {
-			return err
-		}
-		if n.kind == kindInternal {
-			pn = n.childPage(e)
-			continue
-		}
-		pos := leafPos(n.leaf, e)
-		if pos >= len(n.leaf) || n.leaf[pos] != e {
-			return ErrNotFound
-		}
-		n.leaf = append(n.leaf[:pos], n.leaf[pos+1:]...)
-		return t.writeNode(pn, n)
+	f.Lock()
+	d := f.Data
+	n := nodeCount(d)
+	pos := leafSearch(d, e)
+	if pos >= n || cmpAt(d, nodeHeader+pos*leafEntrySize, e) != 0 {
+		f.Unlock()
+		t.pool.Release(f, false)
+		return ErrNotFound
 	}
+	off := nodeHeader + pos*leafEntrySize
+	end := nodeHeader + n*leafEntrySize
+	copy(d[off:], d[off+leafEntrySize:end])
+	clear(d[end-leafEntrySize : end])
+	setNodeCount(d, n-1)
+	f.Unlock()
+	t.pool.Release(f, true)
+	return nil
 }
+
+// ascendBatch is how many leaf entries Ascend copies out per latch
+// hold. Callbacks run with the leaf pinned but unlatched, so they may use
+// the buffer pool (and other trees) freely.
+const ascendBatch = 64
 
 // Ascend calls fn for every entry ≥ start (ordered), until fn returns
 // false.
@@ -260,34 +309,49 @@ func (t *Tree) Ascend(start Key, fn func(Entry) bool) error {
 	defer t.mu.RUnlock()
 
 	lower := Entry{Key: start}
-	pn, err := t.rootPage()
+	f, _, err := t.leafFor(lower, nil)
 	if err != nil {
 		return err
 	}
+	f.RLock()
+	pos := leafSearch(f.Data, lower)
+	f.RUnlock()
+	var buf [ascendBatch]Entry
 	for {
-		n, err := t.readNode(pn)
-		if err != nil {
-			return err
+		// The tree lock is held shared, so no writer moves the entries
+		// while the latch is dropped for the callbacks.
+		f.RLock()
+		d := f.Data
+		n, next, k := nodeCount(d), nodeLink(d), 0
+		for ; pos < n && k < len(buf); pos++ {
+			buf[k] = leafEntry(d, pos)
+			k++
 		}
-		if n.kind == kindLeaf {
-			pos := leafPos(n.leaf, lower)
-			for {
-				for ; pos < len(n.leaf); pos++ {
-					if !fn(n.leaf[pos]) {
-						return nil
-					}
-				}
-				if n.link == 0 {
-					return nil
-				}
-				n, err = t.readNode(n.link)
-				if err != nil {
-					return err
-				}
-				pos = 0
+		f.RUnlock()
+		for _, e := range buf[:k] {
+			if !fn(e) {
+				t.pool.Release(f, false)
+				return nil
 			}
 		}
-		pn = n.childPage(lower)
+		if pos < n {
+			continue
+		}
+		t.pool.Release(f, false)
+		if next == 0 {
+			return nil
+		}
+		if f, err = t.pool.Get(t.rel, next); err != nil {
+			return err
+		}
+		pos = 0
+		f.RLock()
+		kind := nodeKind(f.Data)
+		f.RUnlock()
+		if kind != kindLeaf {
+			t.pool.Release(f, false)
+			return fmt.Errorf("btree: page %d has bad node kind %d", next, kind)
+		}
 	}
 }
 
@@ -306,6 +370,54 @@ func (t *Tree) Len() (int, error) {
 	total := 0
 	err := t.Ascend(Key{}, func(Entry) bool { total++; return true })
 	return total, err
+}
+
+// nodeMem is a decoded image of one node, for the invariant checker.
+type nodeMem struct {
+	kind byte
+	link uint32 // leaf: right sibling; internal: leftmost child
+	leaf []Entry
+	ints []intChild
+}
+
+type intChild struct {
+	e     Entry
+	child uint32
+}
+
+func (t *Tree) readNode(pn uint32) (nodeMem, error) {
+	f, err := t.pool.Get(t.rel, pn)
+	if err != nil {
+		return nodeMem{}, err
+	}
+	defer t.pool.Release(f, false)
+	f.RLock()
+	defer f.RUnlock()
+	d := f.Data
+	n := nodeMem{kind: nodeKind(d), link: nodeLink(d)}
+	cnt := nodeCount(d)
+	switch n.kind {
+	case kindLeaf:
+		if cnt > maxLeafEntries {
+			return nodeMem{}, fmt.Errorf("btree: leaf %d holds %d entries", pn, cnt)
+		}
+		n.leaf = make([]Entry, cnt)
+		for i := range n.leaf {
+			n.leaf[i] = leafEntry(d, i)
+		}
+	case kindInternal:
+		if cnt > maxIntEntries {
+			return nodeMem{}, fmt.Errorf("btree: internal %d holds %d entries", pn, cnt)
+		}
+		n.ints = make([]intChild, cnt)
+		for i := range n.ints {
+			e, c := intEntry(d, i)
+			n.ints[i] = intChild{e, c}
+		}
+	default:
+		return nodeMem{}, fmt.Errorf("btree: page %d has bad node kind %d", pn, n.kind)
+	}
+	return n, nil
 }
 
 // CheckInvariants walks the tree verifying ordering and separator

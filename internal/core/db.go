@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/btree"
@@ -36,6 +37,7 @@ const (
 	FileIdxRel     device.OID = 14 // file OID → naming TID
 	AttIdxRel      device.OID = 15 // file OID → fileatt TID
 	ArchiveRel     device.OID = 16 // vacuum archive
+	ArchiveIdxRel  device.OID = 19 // (relation, key, deleter time) → archive TID
 	RootDirOID     device.OID = 10 // the "/" directory
 	InvalidFileOID device.OID = 0
 )
@@ -164,6 +166,8 @@ type DB struct {
 
 	ns      *namespaceShards
 	archive *heap.Relation
+	archIdx atomic.Pointer[btree.Tree] // nil until the first vacuum
+	archMu  sync.Mutex                 // serialises building archIdx
 
 	relMu   sync.RWMutex
 	rels    map[device.OID]*heap.Relation
@@ -244,6 +248,7 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 		{catalog.TypesRel, catalog.KindHeap},
 		{catalog.FunctionsRel, catalog.KindHeap},
 		{ArchiveRel, catalog.KindHeap},
+		{ArchiveIdxRel, catalog.KindIndex},
 	}
 	for _, f := range fixed {
 		if _, err := sw.Home(f.oid); err != nil {
@@ -283,6 +288,10 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 				return nil, err
 			}
 		}
+	}
+
+	if err := db.openArchiveIndex(); err != nil {
+		return nil, err
 	}
 
 	db.registerBuiltins()
@@ -480,6 +489,7 @@ func (db *DB) relRows() ([]sysview.RelRow, error) {
 			fixedRel{s.fileIdx.OID(), shardName(i, "naming_file_idx")},
 			fixedRel{s.attIdx.OID(), shardName(i, "fileatt_idx")})
 	}
+	idxs = append(idxs, fixedRel{ArchiveIdxRel, "archive_idx"})
 	for _, idx := range idxs {
 		if err := add(idx.oid, idx.name, "index", false); err != nil {
 			return nil, err

@@ -47,11 +47,10 @@ func SplitPath(path string) ([]string, error) {
 // inserted one, and update-heavy rows can have thousands of dead
 // versions below it.
 //
-// For historical snapshots, a miss falls through to the vacuum archive:
-// the vacuum cleaner moves obsolete records there rather than losing
-// them ("If time travel is desired, the records must be saved forever
-// somewhere"), so time travel keeps working across vacuums. Archived
-// hits return a zero TID — history is never updated in place.
+// For historical snapshots, a miss falls through to the vacuum archive
+// through the archive index (archive.go), so time travel keeps working
+// across vacuums. Archived hits return a zero TID — history is never
+// updated in place.
 func (db *DB) fetchVisible(tree *btree.Tree, key btree.Key, rel *heap.Relation, snap *txn.Snapshot,
 	check func(payload []byte) (bool, error)) (heap.TID, []byte, bool, error) {
 	var vals []uint64
@@ -79,51 +78,12 @@ func (db *DB) fetchVisible(tree *btree.Tree, key btree.Key, rel *heap.Relation, 
 		}
 	}
 	if snap.Historical() {
-		payload, found, err := db.archiveLookup(rel.OID, snap.AsOfTime(), check)
+		payload, found, err := db.archiveFetch(rel.OID, key, snap.AsOfTime(), check)
 		if err != nil || found {
 			return heap.TID{}, payload, found, err
 		}
 	}
 	return heap.TID{}, nil, false, nil
-}
-
-// archiveLookup scans the vacuum archive for a record of relation rel
-// that was live at time asof and satisfies check.
-func (db *DB) archiveLookup(rel device.OID, asof int64, check func(payload []byte) (bool, error)) ([]byte, bool, error) {
-	var (
-		out     []byte
-		found   bool
-		scanErr error
-	)
-	err := db.archive.Scan(db.mgr.CurrentSnapshot(), func(_ heap.TID, rec []byte) (bool, error) {
-		h, payload, ok := heap.DecodeArchive(rec)
-		if !ok || h.Rel != uint32(rel) {
-			return false, nil
-		}
-		if h.XminTime == 0 || h.XminTime > asof {
-			return false, nil
-		}
-		if h.XmaxTime != 0 && h.XmaxTime <= asof {
-			return false, nil
-		}
-		ok2, err := check(payload)
-		if err != nil {
-			scanErr = err
-			return true, nil
-		}
-		if ok2 {
-			out, found = clone(payload), true
-			return true, nil
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if scanErr != nil {
-		return nil, false, scanErr
-	}
-	return out, found, nil
 }
 
 // lookupChild finds the file OID bound to name inside directory parent,
@@ -364,31 +324,21 @@ func (db *DB) ReadDir(snap *txn.Snapshot, dir device.OID) ([]DirEntry, error) {
 		return nil, scanErr
 	}
 	// Historical listings must also surface entries whose naming rows
-	// were vacuumed into the archive since then.
+	// were vacuumed into the archive since then. Their attributes are
+	// fetched only after the archive range is done with the index.
 	if snap.Historical() {
-		asof := snap.AsOfTime()
-		err := db.archive.Scan(db.mgr.CurrentSnapshot(), func(_ heap.TID, rec []byte) (bool, error) {
-			h, payload, ok := heap.DecodeArchive(rec)
-			if !ok || h.Rel != uint32(s.naming.OID) {
-				return false, nil
-			}
-			if h.XminTime == 0 || h.XminTime > asof || (h.XmaxTime != 0 && h.XmaxTime <= asof) {
-				return false, nil
-			}
-			name, parent, fileOID, derr := decodeNaming(payload)
-			if derr != nil || parent != dir || seen[fileOID] {
-				return false, nil
-			}
-			seen[fileOID] = true
-			fa, _, aerr := db.getAttr(snap, fileOID)
-			if aerr != nil {
-				return false, nil
-			}
-			out = append(out, DirEntry{Name: name, File: fileOID, Attr: fa})
-			return false, nil
-		})
+		archived, err := db.archivedBindings(s.naming.OID, dir, snap.AsOfTime())
 		if err != nil {
 			return nil, err
+		}
+		for _, de := range archived {
+			if seen[de.File] {
+				continue
+			}
+			seen[de.File] = true
+			if de.Attr, _, err = db.getAttr(snap, de.File); err == nil {
+				out = append(out, de)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -129,6 +129,8 @@ func (r *ScrubReport) problemf(format string, args ...any) {
 //     storage),
 //   - structural invariants of every B-tree (node kinds, key order,
 //     child separators),
+//   - the archive index against the archive: entries match the records
+//     they resolve to, and every archived record is indexed,
 //   - namespace cross-checks: every visible naming row resolves to a
 //     live attribute row, parents exist and are directories, and the
 //     name and file indexes can find the row,
@@ -185,12 +187,20 @@ func (db *DB) Scrub() (ScrubReport, error) {
 			tree *btree.Tree
 		}{ri.Name, t})
 	}
+	if t := db.archIdx.Load(); t != nil {
+		idxTrees = append(idxTrees, struct {
+			name string
+			tree *btree.Tree
+		}{"archive_idx", t})
+	}
 	for _, it := range idxTrees {
 		rep.IndexesChecked++
 		if err := it.tree.CheckInvariants(); err != nil {
 			rep.problemf("index %s: %v", it.name, err)
 		}
 	}
+
+	db.scrubArchiveIndex(&rep)
 
 	// Transaction log: a committed XID with no commit time is the torn
 	// commit force recovery heals; seeing one here means the log on this

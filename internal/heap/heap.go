@@ -77,12 +77,19 @@ func (r *Relation) NPages() (uint32, error) { return r.pool.NPages(r.OID) }
 // Insert appends a record stamped with inserting transaction x and
 // returns its TID.
 func (r *Relation) Insert(x txn.XID, payload []byte) (TID, error) {
-	if len(payload) > MaxPayload {
+	item := make([]byte, recordHeader+len(payload))
+	copy(item[recordHeader:], payload)
+	return r.insertItem(x, item)
+}
+
+// insertItem stores a whole record item — header space followed by the
+// payload — stamping its xmin with x. The item becomes the page copy's
+// source, so callers that build records in place copy payloads once.
+func (r *Relation) insertItem(x txn.XID, item []byte) (TID, error) {
+	if len(item)-recordHeader > MaxPayload {
 		return TID{}, ErrTooLarge
 	}
-	item := make([]byte, recordHeader+len(payload))
 	binary.LittleEndian.PutUint32(item[0:], uint32(x))
-	copy(item[recordHeader:], payload)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
