@@ -14,7 +14,7 @@
 //	  mv OLD NEW                 rename
 //	  call FUNC PATH             invoke a registered function on a file
 //	  settype PATH TYPE          assign a defined file type
-//	  stats                      server operational counters
+//	  stats                      every server metric (the inv_metrics catalog)
 //	  sh                         interactive shell (transactions!)
 //	  migrate PATH CLASS         move a file to another device class
 //	  vacuum                     run the vacuum cleaner
@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/inversion"
 )
 
@@ -228,31 +229,12 @@ func run(addr, owner string, args []string) error {
 		}
 		return nil
 	case "stats":
-		st, err := c.Stats()
+		// Telemetry is a relation: the same rows invtop and invql read.
+		res, err := c.Query("retrieve (m.name, m.labels, m.kind, m.value) from m in inv_metrics")
 		if err != nil {
 			return err
 		}
-		// Fixed label order so output diffs cleanly between runs; every
-		// value carries its unit or a hits/misses-style qualifier.
-		fmt.Printf("%-28s %d pages\n", "buffer.capacity:", st.CacheCapacity)
-		fmt.Printf("%-28s %d hits / %d misses\n", "buffer.lookups:", st.CacheHits, st.CacheMisses)
-		fmt.Printf("%-28s %d pages\n", "buffer.writebacks:", st.CacheWritebacks)
-		fmt.Printf("%-28s %d frames\n", "buffer.evictions:", st.CacheEvictions)
-		fmt.Printf("%-28s %d events\n", "buffer.overcommits:", st.CacheOvercommits)
-		fmt.Printf("%-28s %d waits\n", "buffer.load_waits:", st.CacheLoadWaits)
-		fmt.Printf("%-28s %d relations, %d types, %d functions\n", "catalog.objects:",
-			st.Relations, st.Types, st.Functions)
-		fmt.Printf("%-28s xid %d\n", "txn.horizon:", st.Horizon)
-		fmt.Printf("%-28s %s\n", "txn.last_commit:", fmtTime(st.LastCommitTime))
-		fmt.Printf("%-28s %d hits / %d misses\n", "txn.status_cache:",
-			st.StatusCacheHits, st.StatusCacheMisses)
-		fmt.Printf("%-28s %d waits\n", "txn.lock_waits:", st.LockWaits)
-		snap, err := c.StatsV2()
-		if err != nil {
-			return fmt.Errorf("fetching metrics snapshot: %w", err)
-		}
-		fmt.Println()
-		fmt.Print(inversion.FormatMetrics(snap))
+		fmt.Print(obs.FormatText(inversion.SamplesFromRows(res.Rows)))
 		return nil
 	case "sh":
 		return shell(c)

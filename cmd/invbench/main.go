@@ -249,7 +249,7 @@ func printScaling() (map[string][]bench.ScalingPoint, error) {
 		}
 		last := pts[len(pts)-1]
 		fmt.Printf("  %s metrics registry (g=%d run):\n", wl, last.Goroutines)
-		fmt.Print(indent(obs.FormatText(last.Obs), "    "))
+		fmt.Print(indent(obs.FormatText(obs.Samples(obs.MergeShards(last.Obs), obs.WaitProfile{})), "    "))
 	}
 	fmt.Println()
 	return out, nil

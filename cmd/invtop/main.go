@@ -1,11 +1,11 @@
 // Command invtop is a terminal monitor for a served Inversion
-// database. In live mode it polls the statsv2 wire op and renders
-// per-interval deltas of the metrics registry — counters as rates,
-// gauges as points, histograms as p50/p95/p99 — the same diffing the
+// database. Both of its modes are ordinary POSTQUEL queries. In live
+// mode it polls the inv_metrics catalog and renders per-interval
+// deltas of the metrics registry — counters as rates, gauges as
+// points, histograms as p50/p95/p99 — the same diffing the
 // metrics-history recorder persists. With -asof it instead replays a
-// past instant from the inv_history relations over the ordinary query
-// path: time travel over the engine's own telemetry, served by the
-// engine.
+// past instant from the inv_history relations: time travel over the
+// engine's own telemetry, served by the engine.
 //
 // Usage:
 //
@@ -21,6 +21,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/inversion"
@@ -56,23 +57,27 @@ func main() {
 	}
 }
 
-// live polls statsv2 and renders the per-interval delta view.
+// live polls inv_metrics and renders the per-interval delta view.
 func live(c *inversion.Client, interval time.Duration, n, top int) error {
 	differ := inversion.NewHistoryDiffer()
+	poll := func() ([]inversion.HistorySample, error) {
+		res, err := c.Query("retrieve (m.name, m.labels, m.kind, m.value) from m in inv_metrics")
+		if err != nil {
+			return nil, err
+		}
+		return differ.Diff(inversion.SamplesFromRows(res.Rows)), nil
+	}
 	// Prime the differ so the first rendered frame shows the first
 	// interval's deltas, not all-time cumulative values.
-	snap, err := c.StatsV2()
-	if err != nil {
+	if _, err := poll(); err != nil {
 		return err
 	}
-	differ.Diff(snap, inversion.WaitProfile{})
 	for i := 0; n == 0 || i < n; i++ {
 		time.Sleep(interval)
-		snap, err := c.StatsV2()
+		samples, err := poll()
 		if err != nil {
 			return err
 		}
-		samples := differ.Diff(snap, inversion.WaitProfile{})
 		fmt.Printf("── invtop  %s  (Δ over %s)\n",
 			time.Now().Format(time.RFC3339), interval)
 		render(os.Stdout, samples, top)
@@ -112,13 +117,7 @@ func replay(c *inversion.Client, asofArg string, top int) error {
 	if dropped {
 		fmt.Println("   ⚠ recording attempts before this tick were dropped: the preceding gap lost data")
 	}
-	samples := make([]inversion.HistorySample, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		samples = append(samples, inversion.HistorySample{
-			Name: r[0].S, Labels: r[1].S, Kind: r[2].S, Value: r[3].F,
-		})
-	}
-	render(os.Stdout, samples, top)
+	render(os.Stdout, inversion.SamplesFromRows(res.Rows), top)
 	return nil
 }
 
@@ -169,9 +168,14 @@ func render(w *os.File, samples []inversion.HistorySample, top int) {
 		shown++
 	}
 	if len(quantiles) > 0 {
-		fmt.Fprintf(w, "%-52s %14s\n", "LATENCY", "")
+		fmt.Fprintf(w, "%-52s %14s\n", "HISTOGRAM", "")
 		for _, s := range quantiles {
-			fmt.Fprintf(w, "%-52s %14s\n", label(s), time.Duration(int64(s.Value)).String())
+			// Only *_ns histograms are latencies; others keep their unit.
+			v := fmt.Sprintf("%.0f", s.Value)
+			if strings.HasSuffix(s.Name, "_ns") {
+				v = time.Duration(int64(s.Value)).String()
+			}
+			fmt.Fprintf(w, "%-52s %14s\n", label(s), v)
 		}
 	}
 	if len(gauges) > 0 {

@@ -487,6 +487,11 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 				if err := f.loadErr; err != nil {
 					return nil, err
 				}
+				// The wait is accounted above (loadWaits, the span's
+				// load charge); hit_ns times only the hit path.
+				if o != nil {
+					t0 = time.Now()
+				}
 				continue // loaded: the next pass pins it
 			}
 			f.pins++

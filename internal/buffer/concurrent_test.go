@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/page"
 	"sync/atomic"
 )
@@ -327,5 +328,75 @@ func TestCrashGetFrameCountConsistency(t *testing.T) {
 	}
 	if got := p.nframes.Load(); got != int64(total) {
 		t.Fatalf("nframes = %d but %d frames cached", got, total)
+	}
+}
+
+// slowBackend sleeps on every page read, so a concurrent Get of the
+// same page spends that long waiting on the single-flight load.
+type slowBackend struct {
+	Backend
+	delay time.Duration
+	reads atomic.Int64
+}
+
+func (b *slowBackend) ReadPage(rel device.OID, pn uint32, buf []byte) error {
+	b.reads.Add(1)
+	time.Sleep(b.delay)
+	return b.Backend.ReadPage(rel, pn, buf)
+}
+
+// TestHitTimeExcludesLoadWait: a Get that waits behind another
+// goroutine's load of its page and then pins the loaded frame counts as
+// a hit, but buffer.*.hit_ns must time only the hit path. The wait is
+// accounted separately (load_waits and the span's load charge).
+func TestHitTimeExcludesLoadWait(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	sw := device.NewSwitch()
+	sw.Register(device.NewMem(nil, 0))
+	if err := sw.Place(1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Extend(1); err != nil {
+		t.Fatal(err)
+	}
+	sb := &slowBackend{Backend: sw, delay: delay}
+	p := NewPool(sb, 8)
+	reg := obs.NewRegistry()
+	p.SetObs(reg)
+
+	loaded := make(chan error, 1)
+	go func() {
+		f, err := p.Get(1, 0)
+		if err == nil {
+			p.Release(f, false)
+		}
+		loaded <- err
+	}()
+	for sb.reads.Load() == 0 { // the loader is inside its slow read
+		time.Sleep(100 * time.Microsecond)
+	}
+	f, err := p.Get(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f, false)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().LoadWaits; got != 1 {
+		t.Fatalf("load waits = %d, want 1 (the second Get must wait on the load)", got)
+	}
+
+	var hits, sumNs int64
+	for _, h := range obs.MergeShards(reg.Snapshot()).Hists {
+		if h.Name == "buffer.hit_ns" {
+			hits, sumNs = h.Count, h.SumNs
+		}
+	}
+	if hits != 1 {
+		t.Fatalf("hit_ns count = %d, want 1", hits)
+	}
+	if sumNs > int64(delay/10) {
+		t.Fatalf("hit_ns sum = %v, includes the %v load wait", time.Duration(sumNs), delay)
 	}
 }

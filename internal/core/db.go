@@ -128,8 +128,8 @@ type Options struct {
 	// wall-clock interval: every blocking site (lock parks, page loads,
 	// latches, log forces, background loops) publishes what it is
 	// waiting on, and the sampler accumulates the (event, op, relation)
-	// profile served by the inv_wait_events catalog, the waitprofile
-	// wire op, and /metrics. Off by default: with no sampler attached,
+	// profile served by the inv_wait_events and inv_metrics catalogs
+	// and /metrics. Off by default: with no sampler attached,
 	// every instrumented site is a single atomic load, and the
 	// simulated-clock benchmark digits are untouched either way (the
 	// sampler never reads the virtual clock).
@@ -309,6 +309,7 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	db.views.Register(sysview.NewStatTxn(db.metrics, mgr, pool))
 	db.views.Register(sysview.NewStatNamespace(db.namespaceRows))
 	db.views.Register(sysview.NewWaitEvents(db.WaitProfile))
+	db.views.Register(sysview.NewMetrics(db.metricSamples))
 	db.views.Register(sysview.NewHistoryMeta(db.historySeriesRows))
 	db.views.Register(sysview.NewColumnsCatalog(db.views))
 
@@ -521,7 +522,7 @@ func (db *DB) vacuumRuns() []sysview.VacuumRow {
 
 // RefreshObsGauges updates the registry gauges that mirror derived
 // state, so a scrape or snapshot sees current values. Called by the
-// stats handlers, not on any hot path.
+// telemetry readers, not on any hot path.
 func (db *DB) RefreshObsGauges() {
 	m := db.metrics
 	m.Gauge("buffer.capacity_pages").Set(int64(db.pool.Capacity()))
@@ -533,6 +534,12 @@ func (db *DB) RefreshObsGauges() {
 	m.Gauge("txn.checkpoint_xid").Set(int64(db.log.CheckpointXID()))
 	ps := db.pool.Stats()
 	m.Gauge("buffer.dirty_pages").Set(ps.DirtyPages)
+	m.Gauge("buffer.overcommits").Set(ps.Overcommits)
+	m.Gauge("buffer.load_waits").Set(ps.LoadWaits)
+	sh, sm := db.mgr.StatusCacheStats()
+	m.Gauge("txn.status_cache_hits").Set(sh)
+	m.Gauge("txn.status_cache_misses").Set(sm)
+	m.Gauge("txn.lock_waits").Set(db.mgr.Locks().Waits())
 	m.Gauge("namespace.shards").Set(int64(db.ns.n))
 	for _, s := range db.ns.shards {
 		pre := fmt.Sprintf("namespace.shard%d.", s.id)
@@ -544,6 +551,14 @@ func (db *DB) RefreshObsGauges() {
 		m.Gauge(pre + "cross_renames").Set(s.crossRenames.Load())
 		m.Gauge(pre + "lock_waits").Set(s.lockWaits.Load())
 	}
+}
+
+// metricSamples reads every registry series (derived gauges refreshed
+// first) and the wait profile as cumulative samples: the rows of
+// inv_metrics, and what the history recorder differences each tick.
+func (db *DB) metricSamples() []obs.HistorySample {
+	db.RefreshObsGauges()
+	return obs.Samples(db.metrics.Snapshot(), db.WaitProfile())
 }
 
 // NamespaceShardCount reports how many shards this volume's namespace

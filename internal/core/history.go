@@ -20,10 +20,11 @@ import (
 
 // Metrics history: the engine as its own observability backend. The
 // registry, trace ring, and flight recorder are all scrape-or-lose
-// state; here an opt-in recorder periodically diffs the registry (via
-// obs.HistoryDiffer) and appends the per-tick samples into two real
-// system relations, so the full POSTQUEL surface — including asof —
-// works on the system's own history, across its own crash recoveries.
+// state; here an opt-in recorder periodically diffs the registry's
+// samples (obs.Samples, via obs.HistoryDiffer) and appends the per-tick
+// results into two real system relations, so the full POSTQUEL surface
+// — including asof — works on the system's own history, across its own
+// crash recoveries.
 //
 // The recorder is wall-clock paced and never reads the virtual commit
 // clock (TimeSource): tick timestamps are observability truth, not
@@ -263,8 +264,7 @@ func (r *historyRecorder) recordTick(cancel <-chan struct{}) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	db := r.db
-	db.RefreshObsGauges()
-	samples := r.differ.Diff(db.metrics.Snapshot(), db.WaitProfile())
+	samples := r.differ.Diff(db.metricSamples())
 	nowNs := r.now().UnixNano()
 
 	fail := func(err error) error {

@@ -5,81 +5,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"repro/internal/rowenc"
 )
-
-// snapshotVersion is the wire format version of an encoded Snapshot.
-// Bump it when the layout changes; decoders reject unknown versions so
-// a newer daemon talking to an older client fails loudly, not
-// garbled.
-const snapshotVersion = 1
-
-// EncodeSnapshot serializes a snapshot with the rowenc codec:
-//
-//	u32 version | u32 nCounters | (string name, i64 value)* |
-//	u32 nGauges | (string name, i64 value)* |
-//	u32 nHists  | (string name, i64 count, i64 sumNs,
-//	               u32 nBuckets, i64*nBuckets)*
-func EncodeSnapshot(s Snapshot) []byte {
-	w := rowenc.NewWriter(256 + len(s.Hists)*(NumBuckets+4)*8)
-	w.Uint32(snapshotVersion)
-	w.Uint32(uint32(len(s.Counters)))
-	for _, c := range s.Counters {
-		w.String(c.Name).Int64(c.Value)
-	}
-	w.Uint32(uint32(len(s.Gauges)))
-	for _, g := range s.Gauges {
-		w.String(g.Name).Int64(g.Value)
-	}
-	w.Uint32(uint32(len(s.Hists)))
-	for _, h := range s.Hists {
-		w.String(h.Name).Int64(h.Count).Int64(h.SumNs)
-		w.Uint32(NumBuckets)
-		for _, b := range h.Buckets {
-			w.Int64(b)
-		}
-	}
-	return w.Done()
-}
-
-// DecodeSnapshot parses an encoded snapshot. The bucket count is
-// carried explicitly so a peer built with a different NumBuckets is
-// detected instead of misparsed.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	r := rowenc.NewReader(b)
-	if v := r.Uint32(); r.Err() == nil && v != snapshotVersion {
-		return s, fmt.Errorf("obs: snapshot version %d (want %d)", v, snapshotVersion)
-	}
-	n := int(r.Uint32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Counters = append(s.Counters, NamedValue{r.String(), r.Int64()})
-	}
-	n = int(r.Uint32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Gauges = append(s.Gauges, NamedValue{r.String(), r.Int64()})
-	}
-	n = int(r.Uint32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var h HistogramSnapshot
-		h.Name = r.String()
-		h.Count = r.Int64()
-		h.SumNs = r.Int64()
-		nb := int(r.Uint32())
-		if r.Err() == nil && nb != NumBuckets {
-			return s, fmt.Errorf("obs: histogram %q has %d buckets (want %d)", h.Name, nb, NumBuckets)
-		}
-		for j := 0; j < nb && r.Err() == nil; j++ {
-			h.Buckets[j] = r.Int64()
-		}
-		s.Hists = append(s.Hists, h)
-	}
-	if err := r.Err(); err != nil {
-		return s, err
-	}
-	return s, nil
-}
 
 // shardSeries matches the per-shard segment in metric names like
 // "buffer.shard03.hit_ns".
@@ -132,52 +58,81 @@ func MergeShards(s Snapshot) Snapshot {
 	return out
 }
 
-// FormatText renders a snapshot for terminals (`inv stats`): counters
-// and gauges in stable sorted order with aligned values, then one line
-// per histogram with count, mean, and p50/p95/p99. Per-shard series
-// are pre-merged for readability.
-func FormatText(s Snapshot) string {
-	s = MergeShards(s)
-	var b strings.Builder
+// FormatText renders cumulative samples (Samples' output, or the
+// rows of inv_metrics) for terminals: counters and gauges in stable
+// sorted order with aligned values, then one line per histogram with
+// its observation count and p50/p95/p99 (histograms with no
+// observations are left out). A histogram's unit comes from
+// its name: *_ns histograms are latencies and print as durations, any
+// other (a batch size, a byte count) prints plain numbers.
+func FormatText(samples []HistorySample) string {
+	var counters, gauges []HistorySample
+	hists := map[string]map[string]float64{} // name → "count"/"p50"/"p95"/"p99" → value
 	width := 0
-	for _, v := range s.Counters {
-		if len(v.Name) > width {
-			width = len(v.Name)
-		}
-	}
-	for _, v := range s.Gauges {
-		if len(v.Name) > width {
-			width = len(v.Name)
-		}
-	}
-	if len(s.Counters) > 0 {
-		b.WriteString("counters:\n")
-		for _, v := range s.Counters {
-			fmt.Fprintf(&b, "  %-*s %12d\n", width, v.Name, v.Value)
-		}
-	}
-	if len(s.Gauges) > 0 {
-		b.WriteString("gauges:\n")
-		for _, v := range s.Gauges {
-			fmt.Fprintf(&b, "  %-*s %12d\n", width, v.Name, v.Value)
-		}
-	}
-	if len(s.Hists) > 0 {
-		b.WriteString("latency histograms:\n")
-		hw := 0
-		for _, h := range s.Hists {
-			if len(h.Name) > hw {
-				hw = len(h.Name)
+	for _, s := range samples {
+		switch {
+		case s.Kind == SampleQuantile, s.Kind == SampleCounter && s.Labels == "count":
+			if hists[s.Name] == nil {
+				hists[s.Name] = map[string]float64{}
 			}
+			hists[s.Name][s.Labels] = s.Value
+			continue
+		case s.Kind == SampleCounter:
+			counters = append(counters, s)
+		default:
+			gauges = append(gauges, s)
 		}
-		for _, h := range s.Hists {
-			fmt.Fprintf(&b, "  %-*s n=%-8d mean=%-9s p50=%-9s p95=%-9s p99=%s\n",
-				hw, h.Name, h.Count,
-				FormatNs(h.MeanNs()), FormatNs(h.Quantile(0.50)),
-				FormatNs(h.Quantile(0.95)), FormatNs(h.Quantile(0.99)))
+		width = max(width, len(sampleLabel(s)))
+	}
+	var b strings.Builder
+	for _, sec := range []struct {
+		title string
+		rows  []HistorySample
+	}{{"counters", counters}, {"gauges", gauges}} {
+		if len(sec.rows) == 0 {
+			continue
+		}
+		sort.Slice(sec.rows, func(i, j int) bool { return sampleLabel(sec.rows[i]) < sampleLabel(sec.rows[j]) })
+		b.WriteString(sec.title + ":\n")
+		for _, s := range sec.rows {
+			fmt.Fprintf(&b, "  %-*s %12.0f\n", width, sampleLabel(s), s.Value)
+		}
+	}
+	var names []string // histograms with observations; empty ones have no distribution
+	hw := 0
+	for name, h := range hists {
+		if h["count"] > 0 {
+			names = append(names, name)
+			hw = max(hw, len(name))
+		}
+	}
+	if len(names) > 0 {
+		sort.Strings(names)
+		b.WriteString("histograms:\n")
+		for _, name := range names {
+			h := hists[name]
+			format := func(label string) string { return fmt.Sprintf("%.0f", h[label]) }
+			if isLatency(name) {
+				format = func(label string) string { return FormatNs(int64(h[label])) }
+			}
+			fmt.Fprintf(&b, "  %-*s n=%-8.0f p50=%-9s p95=%-9s p99=%s\n",
+				hw, name, h["count"], format("p50"), format("p95"), format("p99"))
 		}
 	}
 	return b.String()
+}
+
+// isLatency reports whether a histogram records nanosecond durations,
+// which the registry marks by the "_ns" name suffix. Only those render
+// as durations and export to Prometheus as seconds.
+func isLatency(name string) bool { return strings.HasSuffix(name, "_ns") }
+
+// sampleLabel renders a sample's series as name or name{labels}.
+func sampleLabel(s HistorySample) string {
+	if s.Labels == "" {
+		return s.Name
+	}
+	return s.Name + "{" + s.Labels + "}"
 }
 
 // FormatNs renders a nanosecond duration compactly (852ns, 14.2µs,

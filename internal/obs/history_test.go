@@ -17,20 +17,20 @@ func TestHistoryDifferCountersAsDeltas(t *testing.T) {
 	d := NewHistoryDiffer()
 
 	reg.Counter("a").Add(5)
-	out := d.Diff(reg.Snapshot(), WaitProfile{})
+	out := d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	s, ok := sampleByName(t, out, "a", "")
 	if !ok || s.Kind != SampleCounter || s.Value != 5 {
 		t.Fatalf("first tick: got %+v ok=%v, want counter delta 5", s, ok)
 	}
 
 	// Unchanged counter → no sample on the next tick.
-	out = d.Diff(reg.Snapshot(), WaitProfile{})
+	out = d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	if _, ok := sampleByName(t, out, "a", ""); ok {
 		t.Fatalf("unchanged counter re-recorded: %+v", out)
 	}
 
 	reg.Counter("a").Add(3)
-	out = d.Diff(reg.Snapshot(), WaitProfile{})
+	out = d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	if s, ok := sampleByName(t, out, "a", ""); !ok || s.Value != 3 {
 		t.Fatalf("third tick: got %+v ok=%v, want delta 3", s, ok)
 	}
@@ -42,7 +42,7 @@ func TestHistoryDifferGaugesAsPoints(t *testing.T) {
 	reg.Gauge("g").Set(7)
 
 	for tick := 0; tick < 2; tick++ {
-		out := d.Diff(reg.Snapshot(), WaitProfile{})
+		out := d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 		s, ok := sampleByName(t, out, "g", "")
 		if !ok || s.Kind != SampleGauge || s.Value != 7 {
 			t.Fatalf("tick %d: got %+v ok=%v, want gauge point 7", tick, s, ok)
@@ -56,7 +56,7 @@ func TestHistoryDifferHistogramQuantiles(t *testing.T) {
 
 	// Empty histogram: skipped entirely.
 	reg.Histogram("h")
-	out := d.Diff(reg.Snapshot(), WaitProfile{})
+	out := d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	if _, ok := sampleByName(t, out, "h", "p50"); ok {
 		t.Fatal("empty histogram recorded quantiles")
 	}
@@ -64,7 +64,7 @@ func TestHistoryDifferHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		reg.Histogram("h").Observe(int64(50_000))
 	}
-	out = d.Diff(reg.Snapshot(), WaitProfile{})
+	out = d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	for _, label := range []string{"p50", "p95", "p99"} {
 		s, ok := sampleByName(t, out, "h", label)
 		if !ok || s.Kind != SampleQuantile || s.Value <= 0 {
@@ -77,7 +77,7 @@ func TestHistoryDifferHistogramQuantiles(t *testing.T) {
 
 	// No new observations → quantiles still recorded (points), count
 	// delta skipped.
-	out = d.Diff(reg.Snapshot(), WaitProfile{})
+	out = d.Diff(Samples(reg.Snapshot(), WaitProfile{}))
 	if _, ok := sampleByName(t, out, "h", "p95"); !ok {
 		t.Fatal("quantile point missing on idle tick")
 	}
@@ -91,20 +91,20 @@ func TestHistoryDifferWaitRows(t *testing.T) {
 	wp := WaitProfile{Rows: []WaitProfileRow{
 		{Class: "IO", Event: "log_force", Op: "commit", Rel: "inv1", Samples: 4},
 	}}
-	out := d.Diff(Snapshot{}, wp)
+	out := d.Diff(Samples(Snapshot{}, wp))
 	s, ok := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1")
 	if !ok || s.Kind != SampleCounter || s.Value != 4 {
 		t.Fatalf("wait row: got %+v ok=%v, want delta 4", s, ok)
 	}
 
 	wp.Rows[0].Samples = 9
-	out = d.Diff(Snapshot{}, wp)
+	out = d.Diff(Samples(Snapshot{}, wp))
 	if s, _ := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1"); s.Value != 5 {
 		t.Fatalf("wait delta: got %v, want 5", s.Value)
 	}
 
 	// Unchanged profile → no sample.
-	out = d.Diff(Snapshot{}, wp)
+	out = d.Diff(Samples(Snapshot{}, wp))
 	if _, ok := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1"); ok {
 		t.Fatal("unchanged wait row re-recorded")
 	}

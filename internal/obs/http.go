@@ -144,7 +144,9 @@ func promName(name string) string {
 
 // writeProm renders a snapshot in the Prometheus text exposition
 // format. Histograms use the cumulative-bucket convention with an le
-// label, so standard histogram_quantile() queries work.
+// label, so standard histogram_quantile() queries work. Latency (*_ns)
+// histograms export in base units, as *_seconds; any other histogram
+// keeps its own unit and integer bucket bounds.
 func writeProm(w interface{ Write([]byte) (int, error) }, s Snapshot) {
 	for _, c := range s.Counters {
 		n := promName(c.Name)
@@ -155,16 +157,20 @@ func writeProm(w interface{ Write([]byte) (int, error) }, s Snapshot) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, g.Value)
 	}
 	for _, h := range s.Hists {
-		n := promName(strings.TrimSuffix(h.Name, "_ns"))
-		fmt.Fprintf(w, "# TYPE %s_seconds histogram\n", n)
+		n := promName(h.Name)
+		unit := func(v int64) string { return strconv.FormatInt(v, 10) }
+		if isLatency(h.Name) {
+			n = promName(strings.TrimSuffix(h.Name, "_ns")) + "_seconds"
+			unit = func(ns int64) string { return fmt.Sprintf("%g", float64(ns)/1e9) }
+		}
+		fmt.Fprintf(w, "# TYPE %s histogram\n", n)
 		var cum int64
 		for i, bn := range h.Buckets {
 			cum += bn
-			fmt.Fprintf(w, "%s_seconds_bucket{le=\"%g\"} %d\n",
-				n, float64(Bound(i))/1e9, cum)
+			fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", n, unit(Bound(i)), cum)
 		}
-		fmt.Fprintf(w, "%s_seconds_bucket{le=\"+Inf\"} %d\n", n, h.Count)
-		fmt.Fprintf(w, "%s_seconds_sum %g\n", n, float64(h.SumNs)/1e9)
-		fmt.Fprintf(w, "%s_seconds_count %d\n", n, h.Count)
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
+		fmt.Fprintf(w, "%s_sum %s\n", n, unit(h.SumNs))
+		fmt.Fprintf(w, "%s_count %d\n", n, h.Count)
 	}
 }

@@ -3,7 +3,7 @@
 // quantile extraction) plus per-request trace spans with per-layer cost
 // attribution. Every storage layer records into a registry owned by its
 // database, the wire server records a span per request, and the whole
-// registry travels over the wire as a Snapshot (the statsv2 op) or is
+// registry is read as rows of the inv_metrics catalog (Samples) or
 // scraped as Prometheus text.
 //
 // The design goal is the paper's Table 3 decomposition, live: a single

@@ -3,7 +3,8 @@ package obs
 import (
 	"math"
 	"net/http/httptest"
-	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -76,47 +77,6 @@ func TestQuantileAtBucketBoundaries(t *testing.T) {
 	top.Observe(math.MaxInt64 / 2)
 	if got := top.Snapshot("top").Quantile(0.99); got != Bound(NumBuckets-2) {
 		t.Errorf("open-bucket quantile = %d, want %d", got, Bound(NumBuckets-2))
-	}
-}
-
-func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a.zero") // stays zero
-	reg.Counter("wire.requests").Add(12345)
-	reg.Counter("saturated").Add(math.MaxInt64)
-	reg.Gauge("buffer.capacity").Set(64)
-	reg.Gauge("neg").Set(-7)
-	h := reg.Histogram("wire.op.read_ns")
-	h.Observe(0)
-	h.Observe(1024)
-	h.Observe(math.MaxInt64)
-	reg.Histogram("empty_ns")
-
-	want := reg.Snapshot()
-	got, err := DecodeSnapshot(EncodeSnapshot(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
-	}
-
-	// Zero-value snapshot survives too.
-	got, err = DecodeSnapshot(EncodeSnapshot(Snapshot{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Counters)+len(got.Gauges)+len(got.Hists) != 0 {
-		t.Fatalf("empty snapshot round trip = %+v", got)
-	}
-
-	// Truncated payloads error instead of misparsing.
-	enc := EncodeSnapshot(want)
-	if _, err := DecodeSnapshot(enc[:len(enc)/2]); err == nil {
-		t.Fatal("truncated snapshot decoded without error")
-	}
-	if _, err := DecodeSnapshot([]byte{9, 9, 9, 9}); err == nil {
-		t.Fatal("bad version decoded without error")
 	}
 }
 
@@ -254,13 +214,66 @@ func TestFormatTextUnitsAndOrder(t *testing.T) {
 	reg.Counter("a.first").Add(1)
 	reg.Gauge("g.cap").Set(64)
 	reg.Histogram("lat_ns").Observe(int64(3 * time.Millisecond))
-	out := FormatText(reg.Snapshot())
+	out := FormatText(Samples(reg.Snapshot(), WaitProfile{}))
 	ia, ib := strings.Index(out, "a.first"), strings.Index(out, "b.second")
 	if ia < 0 || ib < 0 || ia > ib {
 		t.Fatalf("counters out of order:\n%s", out)
 	}
 	if !strings.Contains(out, "p99=") || !strings.Contains(out, "ms") {
 		t.Fatalf("histogram line missing quantiles/units:\n%s", out)
+	}
+}
+
+// TestHistogramUnitsFromNameSuffix: only *_ns histograms are latencies.
+// They export to Prometheus as *_seconds and print as durations; any
+// other histogram (the group-commit batch size) keeps its own unit:
+// integer le bounds, no _seconds suffix, plain numbers in FormatText.
+func TestHistogramUnitsFromNameSuffix(t *testing.T) {
+	reg := NewRegistry()
+	for i := 0; i < 10; i++ {
+		reg.Histogram("txn.group_commit.batch_size").Observe(512)
+	}
+	reg.Histogram("txn.commit_force_ns").Observe(int64(2 * time.Millisecond))
+
+	rec := httptest.NewRecorder()
+	Handler(reg, nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	if strings.Contains(body, "inv_txn_group_commit_batch_size_seconds") {
+		t.Fatalf("batch size exported as seconds:\n%s", body)
+	}
+	for _, want := range []string{
+		"# TYPE inv_txn_group_commit_batch_size histogram",
+		`inv_txn_group_commit_batch_size_bucket{le="1024"} 10`,
+		"inv_txn_group_commit_batch_size_sum 5120",
+		"# TYPE inv_txn_commit_force_seconds histogram",
+		"inv_txn_commit_force_seconds_count 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	les := regexp.MustCompile(`inv_txn_group_commit_batch_size_bucket\{le="([^"]+)"\}`).FindAllStringSubmatch(body, -1)
+	if len(les) != NumBuckets+1 {
+		t.Fatalf("batch size has %d buckets, want %d", len(les), NumBuckets+1)
+	}
+	for _, m := range les[:NumBuckets] {
+		if _, err := strconv.ParseInt(m[1], 10, 64); err != nil {
+			t.Errorf("batch size le=%q is not an integer", m[1])
+		}
+	}
+
+	out := FormatText(Samples(reg.Snapshot(), WaitProfile{}))
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.Contains(line, "batch_size"):
+			if strings.Contains(line, "ns") || strings.Contains(line, "µs") || !strings.Contains(line, "p50=512") {
+				t.Errorf("batch size line not in plain units: %q", line)
+			}
+		case strings.Contains(line, "commit_force_ns"):
+			if !strings.Contains(line, "ms") {
+				t.Errorf("latency line not a duration: %q", line)
+			}
+		}
 	}
 }
 

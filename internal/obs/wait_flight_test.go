@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -52,59 +51,6 @@ func TestWaitEventNamesAndClasses(t *testing.T) {
 	}
 	if WaitFrameLatch.Class() != ClassLWLock {
 		t.Errorf("frame_latch class = %s", WaitFrameLatch.Class())
-	}
-}
-
-// TestWaitProfileEncodeDecode round-trips a profile through the wire
-// encoding, including a counter saturated at MaxUint32 — the value a
-// weeks-long profile converges to instead of wrapping.
-func TestWaitProfileEncodeDecode(t *testing.T) {
-	p := WaitProfile{
-		IntervalNs: int64(10 * time.Millisecond),
-		Rounds:     123456789,
-		Rows: []WaitProfileRow{
-			{Class: "IO", Event: "log_force", Op: "commit", Samples: 42},
-			{Class: "Lock", Event: "lock_acquire", Op: "open", Rel: "inv99", Samples: math.MaxUint32},
-			{Class: "Activity", Event: "bgwriter_idle", Op: "bgwriter", Samples: 1},
-		},
-	}
-	got, err := DecodeWaitProfile(EncodeWaitProfile(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IntervalNs != p.IntervalNs || got.Rounds != p.Rounds {
-		t.Fatalf("header = (%d, %d), want (%d, %d)", got.IntervalNs, got.Rounds, p.IntervalNs, p.Rounds)
-	}
-	if len(got.Rows) != len(p.Rows) {
-		t.Fatalf("rows = %d, want %d", len(got.Rows), len(p.Rows))
-	}
-	for i, r := range got.Rows {
-		if r != p.Rows[i] {
-			t.Errorf("row %d = %+v, want %+v", i, r, p.Rows[i])
-		}
-	}
-	if got.Rows[1].Samples != math.MaxUint32 {
-		t.Fatalf("saturated counter = %d, want MaxUint32", got.Rows[1].Samples)
-	}
-
-	// Empty profile round-trips too (the no-sampler server response).
-	empty, err := DecodeWaitProfile(EncodeWaitProfile(WaitProfile{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Rows) != 0 {
-		t.Fatalf("empty profile decoded %d rows", len(empty.Rows))
-	}
-
-	// Unknown versions are rejected loudly, not misparsed.
-	b := EncodeWaitProfile(p)
-	b[0] = 99
-	if _, err := DecodeWaitProfile(b); err == nil {
-		t.Fatal("version 99 accepted")
-	}
-	// Truncation surfaces as an error, not a short profile.
-	if _, err := DecodeWaitProfile(EncodeWaitProfile(p)[:10]); err == nil {
-		t.Fatal("truncated profile accepted")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/rowenc"
 )
 
 // Wait-event sampling, pg_wait_sampling-style. Every blocking site in
@@ -392,50 +390,4 @@ func sortWaitRows(rows []WaitProfileRow) {
 		}
 		return a.Rel < b.Rel
 	})
-}
-
-// waitProfileVersion versions the wire encoding of a WaitProfile.
-const waitProfileVersion = 1
-
-// EncodeWaitProfile serializes a profile with the rowenc codec:
-//
-//	u32 version | i64 intervalNs | i64 rounds |
-//	u32 nRows | (string class, string event, string op, string rel,
-//	             u32 samples)*
-func EncodeWaitProfile(p WaitProfile) []byte {
-	w := rowenc.NewWriter(64 + len(p.Rows)*48)
-	w.Uint32(waitProfileVersion)
-	w.Int64(p.IntervalNs).Int64(p.Rounds)
-	w.Uint32(uint32(len(p.Rows)))
-	for _, r := range p.Rows {
-		w.String(r.Class).String(r.Event).String(r.Op).String(r.Rel)
-		w.Uint32(r.Samples)
-	}
-	return w.Done()
-}
-
-// DecodeWaitProfile parses an encoded profile, rejecting unknown
-// versions loudly.
-func DecodeWaitProfile(b []byte) (WaitProfile, error) {
-	var p WaitProfile
-	r := rowenc.NewReader(b)
-	if v := r.Uint32(); r.Err() == nil && v != waitProfileVersion {
-		return p, fmt.Errorf("obs: wait profile version %d (want %d)", v, waitProfileVersion)
-	}
-	p.IntervalNs = r.Int64()
-	p.Rounds = r.Int64()
-	n := int(r.Uint32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		p.Rows = append(p.Rows, WaitProfileRow{
-			Class:   r.String(),
-			Event:   r.String(),
-			Op:      r.String(),
-			Rel:     r.String(),
-			Samples: r.Uint32(),
-		})
-	}
-	if err := r.Err(); err != nil {
-		return p, err
-	}
-	return p, nil
 }

@@ -375,6 +375,36 @@ func NewWaitEvents(profile func() obs.WaitProfile) VirtualRel {
 	}
 }
 
+// NewMetrics returns inv_metrics: every metrics-registry series, live
+// and cumulative, in the shape of inv_history_samples without its tick
+// seq — counters and gauges as themselves, each histogram as its
+// p50/p95/p99 quantiles plus a "count" counter, and each wait-profile
+// cell as a waitprof.<class>.<event> counter labelled op[/rel]. It is
+// the one read path for telemetry: `inv stats`, invtop and /metrics
+// parity all come from these rows.
+func NewMetrics(samples func() []obs.HistorySample) VirtualRel {
+	return &funcRel{
+		name: "inv_metrics",
+		doc:  "every metrics-registry series, live: counters, gauges, histogram quantiles and counts, wait-profile cells",
+		cols: []Column{
+			{"name", value.KindString, "metric name"},
+			{"labels", value.KindString, "sample labels (quantile label, histogram count, wait op/rel, …)"},
+			{"kind", value.KindString, "counter (cumulative) | gauge (point) | quantile (point)"},
+			{"value", value.KindFloat, "current value"},
+		},
+		rows: func() ([][]value.V, error) {
+			ss := samples()
+			out := make([][]value.V, 0, len(ss))
+			for _, s := range ss {
+				out = append(out, []value.V{
+					value.Str(s.Name), value.Str(s.Labels), value.Str(s.Kind), value.Float(s.Value),
+				})
+			}
+			return out, nil
+		},
+	}
+}
+
 // NewStatTxn returns inv_stat_txn: the commit pipeline's operational
 // counters as stat/value rows — group-commit batching effectiveness,
 // commit-force latency, log checkpoint state, and background-writer

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/obs"
 	"repro/internal/rowenc"
 	"repro/internal/value"
 )
@@ -233,7 +232,7 @@ func (c *Client) retryable(op byte) bool {
 		return true
 	}
 	switch op {
-	case OpStat, OpReadDir, OpCall, OpStats, OpStatsV2, OpScrub, OpWaitProfile:
+	case OpStat, OpReadDir, OpCall, OpScrub:
 		return true
 	}
 	return false
@@ -321,7 +320,7 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 			c.txLost = false
 			return nil, nil
 		}
-	case OpStat, OpReadDir, OpCall, OpStats, OpStatsV2, OpScrub, OpWaitProfile:
+	case OpStat, OpReadDir, OpCall, OpScrub:
 		// Idempotent reads; safe whether or not the transaction is lost.
 	default:
 		if c.txLost {
@@ -617,69 +616,6 @@ func (c *Client) Migrate(path, class string) error {
 	_, err := c.call(OpMigrate, rowenc.NewWriter(len(path)+len(class)+8).
 		String(path).String(class).Done())
 	return err
-}
-
-// Stats mirrors core.Stats over the wire.
-type Stats struct {
-	CacheHits, CacheMisses, CacheWritebacks int64
-	CacheCapacity                           int
-	Relations, Types, Functions             int
-	Horizon                                 uint32
-	LastCommitTime                          int64
-
-	// Per-layer contention observables (buffer pool, txn visibility
-	// cache, 2PL lock queue).
-	CacheEvictions, CacheOvercommits, CacheLoadWaits int64
-	StatusCacheHits, StatusCacheMisses               int64
-	LockWaits                                        int64
-}
-
-// Stats fetches the server's operational counters.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.call(OpStats, nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	r := rowenc.NewReader(resp)
-	st := Stats{
-		CacheHits:       r.Int64(),
-		CacheMisses:     r.Int64(),
-		CacheWritebacks: r.Int64(),
-		CacheCapacity:   int(r.Uint32()),
-		Relations:       int(r.Uint32()),
-		Types:           int(r.Uint32()),
-		Functions:       int(r.Uint32()),
-		Horizon:         r.Uint32(),
-		LastCommitTime:  r.Int64(),
-
-		CacheEvictions:    r.Int64(),
-		CacheOvercommits:  r.Int64(),
-		CacheLoadWaits:    r.Int64(),
-		StatusCacheHits:   r.Int64(),
-		StatusCacheMisses: r.Int64(),
-		LockWaits:         r.Int64(),
-	}
-	return st, r.Err()
-}
-
-// StatsV2 fetches the server's full metrics-registry snapshot:
-// counters, gauges, and per-layer latency histograms.
-func (c *Client) StatsV2() (obs.Snapshot, error) {
-	resp, err := c.call(OpStatsV2, nil)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	return obs.DecodeSnapshot(resp)
-}
-
-// WaitProfile fetches the server's accumulated wait-event profile
-// (empty when the server runs without a wait sampler).
-func (c *Client) WaitProfile() (obs.WaitProfile, error) {
-	resp, err := c.call(OpWaitProfile, nil)
-	if err != nil {
-		return obs.WaitProfile{}, err
-	}
-	return obs.DecodeWaitProfile(resp)
 }
 
 // Vacuum runs the vacuum cleaner on the server.

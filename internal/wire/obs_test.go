@@ -13,31 +13,37 @@ import (
 	"repro/internal/typefuncs"
 )
 
-// findValue returns a named counter/gauge value from a snapshot section.
-func findValue(t *testing.T, section []obs.NamedValue, name string) int64 {
+// metricRows reads every live registry series from the inv_metrics
+// catalog.
+func metricRows(t *testing.T, c *Client) []obs.HistorySample {
 	t.Helper()
-	for _, nv := range section {
-		if nv.Name == name {
-			return nv.Value
+	res, err := c.Query("retrieve (m.name, m.labels, m.kind, m.value) from m in inv_metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]obs.HistorySample, 0, len(res.Rows))
+	for _, r := range res.Rows {
+		out = append(out, obs.HistorySample{Name: r[0].S, Labels: r[1].S, Kind: r[2].S, Value: r[3].F})
+	}
+	return out
+}
+
+// findMetric returns one series' value from inv_metrics rows.
+func findMetric(t *testing.T, rows []obs.HistorySample, name, labels string) float64 {
+	t.Helper()
+	for _, s := range rows {
+		if s.Name == name && s.Labels == labels {
+			return s.Value
 		}
 	}
-	t.Fatalf("metric %q not in snapshot", name)
+	t.Fatalf("metric %s{%s} not in inv_metrics", name, labels)
 	return 0
 }
 
-func findHist(s obs.Snapshot, name string) (obs.HistogramSnapshot, bool) {
-	for _, h := range s.Hists {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return obs.HistogramSnapshot{}, false
-}
-
-// TestStatsV2RoundTrip drives real traffic through a server and checks
-// that the statsv2 reply decodes into a snapshot whose per-layer series
-// reflect that traffic.
-func TestStatsV2RoundTrip(t *testing.T) {
+// TestMetricsCatalogRoundTrip drives real traffic through a server and
+// checks that the inv_metrics catalog's per-layer series reflect that
+// traffic.
+func TestMetricsCatalogRoundTrip(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := dial(t, addr, "obs")
 
@@ -64,61 +70,55 @@ func TestStatsV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := c.StatsV2()
-	if err != nil {
-		t.Fatal(err)
+	rows := metricRows(t, c)
+	if got := findMetric(t, rows, "wire.requests", ""); got < 6 {
+		t.Errorf("wire.requests = %v, want >= 6", got)
 	}
-	if got := findValue(t, snap.Counters, "wire.requests"); got < 6 {
-		t.Errorf("wire.requests = %d, want >= 6", got)
+	if got := findMetric(t, rows, "wire.bytes_out", ""); got < float64(len(payload)) {
+		t.Errorf("wire.bytes_out = %v, want >= %d", got, len(payload))
 	}
-	if got := findValue(t, snap.Counters, "wire.bytes_out"); got < int64(len(payload)) {
-		t.Errorf("wire.bytes_out = %d, want >= %d", got, len(payload))
-	}
-	// The gauges come from RefreshObsGauges on the statsv2 path.
-	if got := findValue(t, snap.Gauges, "buffer.capacity_pages"); got != 128 {
-		t.Errorf("buffer.capacity_pages = %d, want 128", got)
+	// The gauges come from RefreshObsGauges on the catalog's read path.
+	if got := findMetric(t, rows, "buffer.capacity_pages", ""); got != 128 {
+		t.Errorf("buffer.capacity_pages = %v, want 128", got)
 	}
 	// Per-op latency histograms: the ops we issued must have samples.
 	for _, op := range []string{"creat", "write", "open", "read", "close"} {
-		h, ok := findHist(snap, "wire.op."+op+"_ns")
-		if !ok {
-			t.Errorf("histogram wire.op.%s_ns missing", op)
-			continue
+		name := "wire.op." + op + "_ns"
+		if n := findMetric(t, rows, name, "count"); n < 1 {
+			t.Errorf("%s count = %v, want >= 1", name, n)
 		}
-		if h.Count < 1 {
-			t.Errorf("wire.op.%s_ns count = 0, want >= 1", op)
-		}
-		if h.SumNs <= 0 {
-			t.Errorf("wire.op.%s_ns sum = %d, want > 0", op, h.SumNs)
+		if p50 := findMetric(t, rows, name, "p50"); p50 <= 0 {
+			t.Errorf("%s p50 = %v, want > 0", name, p50)
 		}
 	}
-	// Buffer shards are merged by name, not here: the raw snapshot must
+	// Buffer shards are merged by name, not here: the catalog must
 	// retain shard-level detail. At least one shard saw a hit.
-	var shardHits int64
-	for _, nv := range snap.Counters {
-		if strings.HasPrefix(nv.Name, "buffer.shard") && strings.HasSuffix(nv.Name, ".hits") {
-			shardHits += nv.Value
+	var shardHits float64
+	for _, s := range rows {
+		if strings.HasPrefix(s.Name, "buffer.shard") && strings.HasSuffix(s.Name, ".hits") {
+			shardHits += s.Value
 		}
 	}
 	if shardHits == 0 {
 		t.Error("no buffer.shardNN.hits recorded across any shard")
 	}
 
-	// Ordering: the snapshot contract is sorted names in each section.
-	for i := 1; i < len(snap.Counters); i++ {
-		if snap.Counters[i-1].Name >= snap.Counters[i].Name {
-			t.Fatalf("counters not sorted: %q before %q",
-				snap.Counters[i-1].Name, snap.Counters[i].Name)
+	// Ordering: plain counters come out in sorted name order.
+	var prev string
+	for _, s := range rows {
+		if s.Kind != obs.SampleCounter || s.Labels != "" {
+			continue
 		}
+		if prev >= s.Name {
+			t.Fatalf("counters not sorted: %q before %q", prev, s.Name)
+		}
+		prev = s.Name
 	}
 
-	// A second scrape must never go backwards.
-	snap2, err := c.StatsV2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := findValue(t, snap.Counters, "wire.requests"), findValue(t, snap2.Counters, "wire.requests"); b <= a {
-		t.Errorf("wire.requests not monotonic: %d then %d", a, b)
+	// A second read must never go backwards.
+	rows2 := metricRows(t, c)
+	if a, b := findMetric(t, rows, "wire.requests", ""), findMetric(t, rows2, "wire.requests", ""); b <= a {
+		t.Errorf("wire.requests not monotonic: %v then %v", a, b)
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 	"repro/internal/txn"
 )
 
-// Opcodes.
+// Opcodes. Telemetry is read with OpQuery over the inv_metrics and
+// related catalogs; the numbers of the retired telemetry ops stay
+// reserved so the ops around them keep their wire values and an old
+// client gets a clean unknown-opcode error.
 const (
 	OpBegin byte = iota + 1
 	OpCommit
@@ -40,11 +43,11 @@ const (
 	OpDefineType
 	OpMigrate
 	OpVacuum
-	OpStats
+	_ // 21: retired (stats); never reuse
 	OpSetType
-	OpStatsV2
+	_ // 23: retired (statsv2); never reuse
 	OpScrub
-	OpWaitProfile
+	_ // 25: retired (waitprofile); never reuse
 )
 
 // opNames labels opcodes for metrics and traces. Indexed by opcode.
@@ -55,9 +58,8 @@ var opNames = [...]string{
 	OpTruncate: "truncate", OpMkdir: "mkdir", OpUnlink: "unlink",
 	OpRename: "rename", OpReadDir: "readdir", OpStat: "stat",
 	OpQuery: "query", OpCall: "call", OpDefineType: "deftype",
-	OpMigrate: "migrate", OpVacuum: "vacuum", OpStats: "stats",
-	OpSetType: "settype", OpStatsV2: "statsv2", OpScrub: "scrub",
-	OpWaitProfile: "waitprofile",
+	OpMigrate: "migrate", OpVacuum: "vacuum", OpSetType: "settype",
+	OpScrub: "scrub",
 }
 
 // OpName reports the metric label for an opcode ("op<N>" if unknown).

@@ -2,12 +2,15 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rowenc"
 )
 
 // rawConn dials the server without the client library, for sending
@@ -102,7 +105,8 @@ func TestServerRejectsOversizeFrameDeclaration(t *testing.T) {
 	_ = n
 }
 
-// TestRemoteStats exercises the monitoring op.
+// TestRemoteStats exercises the monitoring path: the operational
+// gauges a served database reports through the inv_metrics catalog.
 func TestRemoteStats(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := dial(t, addr, "mon")
@@ -113,14 +117,60 @@ func TestRemoteStats(t *testing.T) {
 	if err := c.PClose(fd); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
-	if err != nil {
+	rows := metricRows(t, c)
+	if findMetric(t, rows, "buffer.capacity_pages", "") == 0 || findMetric(t, rows, "catalog.relations", "") == 0 {
+		t.Fatalf("stats look empty: %+v", rows)
+	}
+	if findMetric(t, rows, "txn.last_commit_unix_ns", "") == 0 {
+		t.Fatal("no commit time recorded")
+	}
+}
+
+// TestRetiredTelemetryOpcodes pins the retirement of the stats (21),
+// statsv2 (23) and waitprofile (25) ops: with or without a trace
+// context, each gets a clean unknown-opcode error reply, and the same
+// connection goes on serving. Their numbers stay reserved, so the ops
+// around them keep their wire values.
+func TestRetiredTelemetryOpcodes(t *testing.T) {
+	if OpSetType != 22 || OpScrub != 24 {
+		t.Fatalf("OpSetType = %d, OpScrub = %d; want 22 and 24", OpSetType, OpScrub)
+	}
+	_, addr, _ := startServer(t)
+	conn := rawConn(t, addr)
+	handshake(t, conn)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, op := range []byte{21, 23, 25} {
+		// Unnamed, so no per-op histogram and no inv_stat_ops row.
+		if name := OpName(op); name != fmt.Sprintf("op%d", op) {
+			t.Errorf("retired op %d still named %q", op, name)
+		}
+		for _, traced := range []bool{false, true} {
+			kind, payload := op, []byte(nil)
+			if traced {
+				kind |= opTraceFlag
+				payload = appendTraceCtx(nil, traceCtx{Hi: 1, Lo: 2, Parent: 3, Sampled: true})
+			}
+			if err := writeMsg(conn, kind, payload); err != nil {
+				t.Fatal(err)
+			}
+			status, resp, err := readMsg(conn)
+			if err != nil {
+				t.Fatalf("op %d traced=%v: %v", op, traced, err)
+			}
+			rerr := decodeErrFrame(resp)
+			if status != statusErr || !strings.Contains(rerr.Msg, "unknown opcode") {
+				t.Fatalf("op %d traced=%v: status %d %q, want an unknown-opcode error", op, traced, status, rerr.Msg)
+			}
+		}
+	}
+	if err := writeMsg(conn, OpStat, rowenc.NewWriter(16).String("/").Int64(0).Done()); err != nil {
 		t.Fatal(err)
 	}
-	if st.CacheCapacity == 0 || st.Relations == 0 {
-		t.Fatalf("stats look empty: %+v", st)
+	status, resp, err := readMsg(conn)
+	if err != nil || status != statusOK {
+		t.Fatalf("stat after retired ops: status %d err %v (%q)", status, err, resp)
 	}
-	if st.LastCommitTime == 0 {
-		t.Fatal("no commit time recorded")
+	if _, err := decodeAttrWire(resp); err != nil {
+		t.Fatalf("stat reply: %v", err)
 	}
 }

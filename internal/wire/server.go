@@ -131,8 +131,10 @@ func NewServerWith(db *core.DB, cfg ServerConfig) *Server {
 		ring:  obs.NewTraceRing(cfg.TraceRingSize),
 	}
 	reg := db.Obs()
-	for op := OpBegin; op <= OpWaitProfile; op++ {
-		s.opNs[op] = reg.Histogram("wire.op." + OpName(op) + "_ns")
+	for op, name := range opNames {
+		if name != "" {
+			s.opNs[op] = reg.Histogram("wire.op." + name + "_ns")
+		}
 	}
 	s.devSimNs = reg.Histogram("device.sim_ns")
 	s.requests = reg.Counter("wire.requests")
@@ -810,27 +812,6 @@ func (s *Server) handle(st *connState, op byte, payload []byte) ([]byte, error) 
 			return nil, err
 		}
 		return nil, st.sess.SetFileType(path, typ)
-	case OpStats:
-		st := s.db.Stats()
-		return rowenc.NewWriter(128).
-			Int64(st.CacheHits).Int64(st.CacheMisses).Int64(st.CacheWritebacks).
-			Uint32(uint32(st.CacheCapacity)).
-			Uint32(uint32(st.Relations)).Uint32(uint32(st.Types)).Uint32(uint32(st.Functions)).
-			Uint32(uint32(st.Horizon)).Int64(st.LastCommitTime).
-			Int64(st.CacheEvictions).Int64(st.CacheOvercommits).Int64(st.CacheLoadWaits).
-			Int64(st.StatusCacheHits).Int64(st.StatusCacheMisses).
-			Int64(st.LockWaits).Done(), nil
-	case OpStatsV2:
-		// The full registry snapshot: counters, gauges, and latency
-		// histograms from every layer. Gauges mirroring derived state
-		// are refreshed so the snapshot is current.
-		s.db.RefreshObsGauges()
-		return obs.EncodeSnapshot(s.db.Obs().Snapshot()), nil
-	case OpWaitProfile:
-		// The accumulated wait-event profile (empty when no sampler is
-		// configured), so client tooling can ask "what has the server
-		// been waiting on" without scraping HTTP.
-		return obs.EncodeWaitProfile(s.db.WaitProfile()), nil
 	case OpScrub:
 		// The full integrity pass (media, B-trees, namespace, chunks,
 		// txn log), exposed as an operator command.

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestSysViewLocksOverWire is the PR's aha moment: a second client can
@@ -169,11 +171,11 @@ func TestAsofOverVirtualWire(t *testing.T) {
 	}
 }
 
-// TestStatOpsMatchesStatsV2: inv_stat_ops and the StatsV2 snapshot are
+// TestStatOpsMatchesMetricsCatalog: inv_stat_ops and inv_metrics are
 // two views over the same histograms; quiesced, their counts agree. The
-// in-flight ops themselves ("query", "statsv2") are excluded — each
-// records its own span after the response is built.
-func TestStatOpsMatchesStatsV2(t *testing.T) {
+// in-flight op itself ("query") is excluded — each records its own span
+// after the response is built.
+func TestStatOpsMatchesMetricsCatalog(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := dial(t, addr, "mao")
 
@@ -186,32 +188,100 @@ func TestStatOpsMatchesStatsV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.StatsV2()
-	if err != nil {
-		t.Fatal(err)
-	}
 	histCount := map[string]int64{}
-	for _, h := range snap.Hists {
-		histCount[h.Name] = h.Count
+	for _, s := range metricRows(t, c) {
+		if s.Kind == obs.SampleCounter && s.Labels == "count" {
+			histCount[s.Name] = int64(s.Value)
+		}
 	}
 	checked := 0
 	for _, row := range res.Rows {
 		op, count := row[0].S, row[1].I
-		if op == "query" || op == "statsv2" {
+		if op == "query" {
 			continue
 		}
 		want, ok := histCount["wire.op."+op+"_ns"]
 		if !ok {
-			t.Errorf("op %s missing from StatsV2 snapshot", op)
+			t.Errorf("op %s missing from inv_metrics", op)
 			continue
 		}
 		if count != want {
-			t.Errorf("op %s: inv_stat_ops count %d != StatsV2 count %d", op, count, want)
+			t.Errorf("op %s: inv_stat_ops count %d != inv_metrics count %d", op, count, want)
 		}
 		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no opcodes cross-checked")
+	}
+}
+
+// promFamily maps a registry series to the Prometheus metric family
+// /metrics exports it under: "inv_" plus the name with every character
+// outside [A-Za-z0-9_] replaced by '_', and latency (*_ns) histograms
+// as *_seconds.
+func promFamily(name string, histogram bool) string {
+	if histogram && strings.HasSuffix(name, "_ns") {
+		return promFamily(strings.TrimSuffix(name, "_ns"), false) + "_seconds"
+	}
+	var b strings.Builder
+	b.WriteString("inv_")
+	for _, r := range name {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' {
+			b.WriteRune(r)
+		} else {
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
+// TestMetricsCatalogParity: every counter, gauge and histogram family
+// /metrics exports is reachable by retrieve over inv_metrics, including
+// the contention gauges that mirror the pool, visibility-cache and lock
+// counters.
+func TestMetricsCatalogParity(t *testing.T) {
+	_, addr, db := startServer(t)
+	c := dial(t, addr, "parity")
+	writeRemote(t, c, "/p.txt", []byte(strings.Repeat("parity ", 4096)))
+	if _, err := c.Stat("/p.txt", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(`retrieve (o.op) from o in inv_stat_ops`); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := metricRows(t, c)
+	rec := httptest.NewRecorder()
+	obs.Handler(db.Obs(), nil, db.RefreshObsGauges).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+
+	catalog := map[string]bool{}
+	for _, s := range rows {
+		hist := s.Kind == obs.SampleQuantile || s.Kind == obs.SampleCounter && s.Labels == "count"
+		catalog[promFamily(s.Name, hist)] = true
+	}
+	families := 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		families++
+		if !catalog[f[2]] {
+			t.Errorf("/metrics %s family %s has no inv_metrics row", f[3], f[2])
+		}
+	}
+	if families == 0 {
+		t.Fatal("no families in /metrics")
+	}
+	for _, g := range []string{"buffer.overcommits", "buffer.load_waits",
+		"txn.status_cache_hits", "txn.status_cache_misses", "txn.lock_waits"} {
+		findMetric(t, rows, g, "")
+		if !strings.Contains(rec.Body.String(), "# TYPE "+promFamily(g, false)+" gauge") {
+			t.Errorf("/metrics missing gauge %s", g)
+		}
+	}
+	if hits := findMetric(t, rows, "txn.status_cache_hits", "") + findMetric(t, rows, "txn.status_cache_misses", ""); hits == 0 {
+		t.Error("status-cache gauges never moved")
 	}
 }
 

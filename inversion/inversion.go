@@ -138,9 +138,6 @@ type (
 	// and latency histograms every storage layer records into; reach it
 	// via DB.Obs().
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry (what the
-	// statsv2 wire op carries and Client.StatsV2 returns).
-	MetricsSnapshot = obs.Snapshot
 	// HistogramSnapshot is one latency distribution in a snapshot, with
 	// Quantile for p50/p95/p99 extraction.
 	HistogramSnapshot = obs.HistogramSnapshot
@@ -152,17 +149,19 @@ type (
 	TraceRing = obs.TraceRing
 	// WaitProfile is the sampled wait-event profile (where goroutines
 	// block, by event, op, and relation); reach a database's via
-	// DB.WaitProfile() or a served one's via Client.WaitProfile().
+	// DB.WaitProfile(), or a served one's through the inv_wait_events
+	// and inv_metrics catalogs.
 	WaitProfile = obs.WaitProfile
 	// WaitProfileRow is one (class, event, op, relation) wait bucket.
 	WaitProfileRow = obs.WaitProfileRow
 	// FlightBundle is a dumped flight-recorder snapshot: the recent
 	// span/wait/lifecycle timeline plus an optional wait profile.
 	FlightBundle = obs.FlightBundle
-	// HistorySample is one recorded metrics-history point (counter
-	// delta, gauge point, or histogram quantile).
+	// HistorySample is one metric point: a row of the live inv_metrics
+	// catalog (cumulative) or of the recorded inv_history_samples
+	// relation (counter delta, gauge point, or histogram quantile).
 	HistorySample = obs.HistorySample
-	// HistoryDiffer converts successive registry snapshots into
+	// HistoryDiffer converts successive cumulative sample sets into
 	// per-tick samples — the recorder's diffing layer, reusable by
 	// monitors (invtop) that want the same delta view of live data.
 	HistoryDiffer = obs.HistoryDiffer
@@ -175,6 +174,16 @@ type (
 
 // NewHistoryDiffer returns a differ with no previous tick.
 func NewHistoryDiffer() *HistoryDiffer { return obs.NewHistoryDiffer() }
+
+// SamplesFromRows converts the rows of a (name, labels, kind, value)
+// retrieve — over inv_metrics or inv_history_samples — into samples.
+func SamplesFromRows(rows [][]Value) []HistorySample {
+	out := make([]HistorySample, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, HistorySample{Name: r[0].S, Labels: r[1].S, Kind: r[2].S, Value: r[3].F})
+	}
+	return out
+}
 
 // ErrHistoryDisabled is returned by metrics-history APIs when the
 // database was opened without Options.MetricsHistory.
@@ -202,11 +211,6 @@ func DumpFlight(w io.Writer, reason string, profile *WaitProfile) error {
 func ParseFlightBundle(b []byte) (FlightBundle, error) {
 	return obs.ParseFlightBundle(b)
 }
-
-// FormatMetrics renders a snapshot for terminals: stable sorted
-// counters and gauges, then one line per histogram with count, mean,
-// and p50/p95/p99 (per-shard series merged).
-func FormatMetrics(s MetricsSnapshot) string { return obs.FormatText(s) }
 
 // NewMetricsHandler returns the operational HTTP endpoint for a served
 // database: Prometheus text at /metrics, Go profiles under
